@@ -17,6 +17,7 @@
 #include "comm/process_group.h"
 #include "common/rng.h"
 #include "common/serialize.h"
+#include "common/temp_dir.h"
 #include "sched/checkpoint.h"
 
 namespace cannikin::chaos {
@@ -237,13 +238,20 @@ ChaosResult run_chaos_schedule(const ChaosConfig& config,
     }
   }
 
-  // Deterministic, per-seed checkpoint directory, wiped up front so a
-  // replay never sees a previous run's files.
+  // Checkpoint directory, wiped up front so a replay never sees a
+  // previous run's files. The default one is unique to this call and
+  // removed when it returns.
+  struct OwnedDir {
+    std::string path;
+    ~OwnedDir() {
+      std::error_code ec;
+      if (!path.empty()) std::filesystem::remove_all(path, ec);
+    }
+  } owned;
   std::string dir = config.checkpoint_dir;
   if (dir.empty()) {
-    dir = (std::filesystem::temp_directory_path() /
-           ("cannikin-chaos-" + std::to_string(schedule.seed)))
-              .string();
+    dir = unique_temp_dir("cannikin-chaos");
+    owned.path = dir;
   }
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 
 namespace cannikin::core {
@@ -12,22 +13,20 @@ namespace {
 
 constexpr double kTol = 1e-9;
 
+}  // namespace
+
 // Form coefficients: completion contribution of node i is
 // coeff * b_i + offset, where for a computing-bottleneck node the
 // completion measure is t_compute (Appendix A.1) and for a
 // communication-bottleneck node it is syncStart + T_o (Appendix A.3).
-struct Form {
-  double coeff;
-  double offset;
-};
-
-Form compute_form(const NodeModel& m) { return {m.q + m.k, m.s + m.m}; }
-
-Form comm_form(const NodeModel& m, const CommTimes& c) {
-  return {m.q + c.gamma * m.k, m.s + c.gamma * m.m + c.t_other};
+OptPerfSolver::Form OptPerfSolver::compute_form(const NodeModel& m) {
+  return {m.q + m.k, m.s + m.m};
 }
 
-}  // namespace
+OptPerfSolver::Form OptPerfSolver::comm_form(const NodeModel& m,
+                                             const CommTimes& c) {
+  return {m.q + c.gamma * m.k, m.s + c.gamma * m.m + c.t_other};
+}
 
 double predicted_batch_time(const std::vector<NodeModel>& models,
                             const CommTimes& comm,
@@ -75,35 +74,40 @@ OptPerfSolver::OptPerfSolver(std::vector<NodeModel> models, CommTimes comm)
            mu_star_by_node[static_cast<std::size_t>(rhs)];
   });
   mu_star_.resize(static_cast<std::size_t>(n));
+  compute_forms_.resize(static_cast<std::size_t>(n));
+  comm_forms_.resize(static_cast<std::size_t>(n));
+  caps_.resize(static_cast<std::size_t>(n));
   for (int pos = 0; pos < n; ++pos) {
-    mu_star_[static_cast<std::size_t>(pos)] =
-        mu_star_by_node[static_cast<std::size_t>(
-            order_[static_cast<std::size_t>(pos)])];
+    const auto idx = static_cast<std::size_t>(pos);
+    const auto node = static_cast<std::size_t>(order_[idx]);
+    mu_star_[idx] = mu_star_by_node[node];
+    compute_forms_[idx] = compute_form(models_[node]);
+    comm_forms_[idx] = comm_form(models_[node], comm_);
+    caps_[idx] = models_[node].max_batch;
   }
+  for (const auto& m : models_) cap_sum_ += m.max_batch;
 }
 
-OptPerfSolver::Candidate OptPerfSolver::solve_boundary(double total_batch,
-                                                       int boundary,
-                                                       int* solves) const {
+void OptPerfSolver::solve_boundary(double total_batch, int boundary,
+                                   int* solves, Candidate* out) const {
   const int n = size();
-  Candidate candidate;
+  Candidate& candidate = *out;
+  candidate.valid = false;
   candidate.batches.assign(static_cast<std::size_t>(n), 0.0);
+  candidate.pins.assign(static_cast<std::size_t>(n), Pin::kFree);
+  const auto form = [&](std::size_t idx) -> const Form& {
+    return static_cast<int>(idx) < boundary ? compute_forms_[idx]
+                                            : comm_forms_[idx];
+  };
 
-  std::vector<Form> forms(static_cast<std::size_t>(n));
-  std::vector<double> caps(static_cast<std::size_t>(n));
-  for (int pos = 0; pos < n; ++pos) {
-    const NodeModel& m = models_[static_cast<std::size_t>(
-        order_[static_cast<std::size_t>(pos)])];
-    forms[static_cast<std::size_t>(pos)] =
-        pos < boundary ? compute_form(m) : comm_form(m, comm_);
-    caps[static_cast<std::size_t>(pos)] = m.max_batch;
-  }
-
-  // Active-set loop: pin nodes driven below 0 or above their cap, then
-  // re-solve the equal-completion-time equation over the free nodes.
-  enum class Pin { kFree, kFloor, kCap };
-  std::vector<Pin> pins(static_cast<std::size_t>(n), Pin::kFree);
-
+  // Variable fixing (Bitran-Hax / Kiwiel): solve the equal-completion
+  // equation over the free nodes, then pin the violators of ONE bound.
+  // If the free nodes' total shortfall below 0 is at least their excess
+  // above cap, clamping would overshoot the remaining batch, so the
+  // exact mu lies lower and every floor violator stays at 0 there;
+  // otherwise it lies higher and every cap violator stays at its cap.
+  // Pins are therefore never undone, each pass pins at least one node,
+  // and the loop ends with the bounded water-filling solution.
   for (int iter = 0; iter <= n; ++iter) {
     double remaining = total_batch;
     double inv_sum = 0.0;
@@ -111,51 +115,77 @@ OptPerfSolver::Candidate OptPerfSolver::solve_boundary(double total_batch,
     int free_count = 0;
     for (int pos = 0; pos < n; ++pos) {
       const auto idx = static_cast<std::size_t>(pos);
-      switch (pins[idx]) {
+      switch (candidate.pins[idx]) {
         case Pin::kFloor:
           candidate.batches[idx] = 0.0;
           break;
         case Pin::kCap:
-          candidate.batches[idx] = caps[idx];
-          remaining -= caps[idx];
+          candidate.batches[idx] = caps_[idx];
+          remaining -= caps_[idx];
           break;
         case Pin::kFree: {
           ++free_count;
-          inv_sum += 1.0 / forms[idx].coeff;
-          offset_sum += forms[idx].offset / forms[idx].coeff;
+          inv_sum += 1.0 / form(idx).coeff;
+          offset_sum += form(idx).offset / form(idx).coeff;
           break;
         }
       }
     }
     ++*solves;
-    if (free_count == 0 || remaining < -kTol) {
-      candidate.valid = false;
-      return candidate;
-    }
+    if (free_count == 0 || remaining < -kTol) return;
     candidate.mu = (remaining + offset_sum) / inv_sum;
 
-    bool changed = false;
+    // In-bound free nodes take max(b, 0); violators keep the raw b so the
+    // pinning pass below can tell them apart.
+    double shortfall = 0.0;
+    double excess = 0.0;
+    bool violated = false;
     for (int pos = 0; pos < n; ++pos) {
       const auto idx = static_cast<std::size_t>(pos);
-      if (pins[idx] != Pin::kFree) continue;
-      const double b = (candidate.mu - forms[idx].offset) / forms[idx].coeff;
+      if (candidate.pins[idx] != Pin::kFree) continue;
+      const double b = (candidate.mu - form(idx).offset) / form(idx).coeff;
       if (b < -kTol) {
-        pins[idx] = Pin::kFloor;
-        changed = true;
-      } else if (b > caps[idx] + kTol) {
-        pins[idx] = Pin::kCap;
-        changed = true;
+        shortfall -= b;
+        violated = true;
+        candidate.batches[idx] = b;
+      } else if (b > caps_[idx] + kTol) {
+        excess += b - caps_[idx];
+        violated = true;
+        candidate.batches[idx] = b;
       } else {
         candidate.batches[idx] = std::max(b, 0.0);
       }
     }
-    if (!changed) {
+    if (!violated) {
       candidate.valid = true;
-      return candidate;
+      return;
+    }
+    const bool pin_floor = shortfall >= excess;
+    for (int pos = 0; pos < n; ++pos) {
+      const auto idx = static_cast<std::size_t>(pos);
+      if (candidate.pins[idx] != Pin::kFree) continue;
+      if (pin_floor && candidate.batches[idx] < -kTol) {
+        candidate.pins[idx] = Pin::kFloor;
+      } else if (!pin_floor && candidate.batches[idx] > caps_[idx] + kTol) {
+        candidate.pins[idx] = Pin::kCap;
+      }
     }
   }
-  candidate.valid = false;
-  return candidate;
+}
+
+double OptPerfSolver::batch_time(const Candidate& candidate) const {
+  // Eq. (7) over sorted positions; the maxima equal predicted_batch_time
+  // of the same split in node order exactly.
+  double compute_bound = 0.0;
+  double comm_bound = 0.0;
+  for (std::size_t pos = 0; pos < order_.size(); ++pos) {
+    const NodeModel& m = models_[static_cast<std::size_t>(order_[pos])];
+    const double a = m.a(candidate.batches[pos]);
+    const double p = m.p(candidate.batches[pos]);
+    compute_bound = std::max(compute_bound, a + p + comm_.t_last);
+    comm_bound = std::max(comm_bound, a + comm_.gamma * p + comm_.total());
+  }
+  return std::max(compute_bound, comm_bound);
 }
 
 int OptPerfSolver::consistency(const Candidate& candidate,
@@ -197,15 +227,12 @@ OptPerfResult OptPerfSolver::finalize(const Candidate& candidate,
                            Bottleneck::kCommunication);
 
   std::vector<double> caps(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    caps[static_cast<std::size_t>(i)] =
-        models_[static_cast<std::size_t>(i)].max_batch;
-  }
-
   for (int pos = 0; pos < n; ++pos) {
-    const int original = order_[static_cast<std::size_t>(pos)];
-    result.local_batches[static_cast<std::size_t>(original)] =
+    const auto original = static_cast<std::size_t>(
+        order_[static_cast<std::size_t>(pos)]);
+    result.local_batches[original] =
         candidate.batches[static_cast<std::size_t>(pos)];
+    caps[original] = caps_[static_cast<std::size_t>(pos)];
   }
   for (int i = 0; i < n; ++i) {
     const NodeModel& m = models_[static_cast<std::size_t>(i)];
@@ -222,37 +249,64 @@ OptPerfResult OptPerfSolver::finalize(const Candidate& candidate,
   return result;
 }
 
+std::optional<OptPerfResult> OptPerfSolver::scan_boundaries(
+    double total_batch, int* solves) const {
+  // Compares boundaries on Eq. (7) alone and finalizes only the winner.
+  const int n = size();
+  Candidate probe;
+  Candidate best;
+  int best_boundary = -1;
+  double best_time = std::numeric_limits<double>::infinity();
+  for (int boundary = 0; boundary <= n; ++boundary) {
+    solve_boundary(total_batch, boundary, solves, &probe);
+    if (!probe.valid) continue;
+    const double time = batch_time(probe);
+    if (time < best_time) {
+      best_time = time;
+      best_boundary = boundary;
+      std::swap(best, probe);
+    }
+  }
+  if (best_boundary < 0) return std::nullopt;
+  return finalize(best, total_batch, best_boundary, *solves);
+}
+
 OptPerfResult OptPerfSolver::solve(double total_batch) const {
   if (total_batch <= 0.0) {
     throw std::invalid_argument("OptPerfSolver: batch must be positive");
   }
   const int n = size();
   int solves = 0;
+  Candidate probe;
+
+  if (total_batch > cap_sum_) {
+    // No split fits in device memory: report every node at its cap.
+    solve_boundary(total_batch, n, &solves, &probe);
+    OptPerfResult result = finalize(probe, total_batch, n, solves);
+    result.feasible = false;
+    return result;
+  }
 
   // Check 1: all nodes computing-bottleneck.
-  Candidate all_compute = solve_boundary(total_batch, n, &solves);
-  if (all_compute.valid && consistency(all_compute, n) == 0) {
-    return finalize(all_compute, total_batch, n, solves);
+  solve_boundary(total_batch, n, &solves, &probe);
+  if (probe.valid && consistency(probe, n) == 0) {
+    return finalize(probe, total_batch, n, solves);
   }
   // Check 2: all nodes communication-bottleneck.
-  Candidate all_comm = solve_boundary(total_batch, 0, &solves);
-  if (all_comm.valid && consistency(all_comm, 0) == 0) {
-    return finalize(all_comm, total_batch, 0, solves);
+  solve_boundary(total_batch, 0, &solves, &probe);
+  if (probe.valid && consistency(probe, 0) == 0) {
+    return finalize(probe, total_batch, 0, solves);
   }
 
   // Mixed: binary search over the boundary position in threshold order.
   int lo = 1;
   int hi = n - 1;
-  Candidate best;
-  int best_boundary = -1;
   while (lo <= hi) {
     const int mid = lo + (hi - lo) / 2;
-    Candidate candidate = solve_boundary(total_batch, mid, &solves);
-    const int direction = candidate.valid ? consistency(candidate, mid) : 1;
-    if (candidate.valid && direction == 0) {
-      best = std::move(candidate);
-      best_boundary = mid;
-      break;
+    solve_boundary(total_batch, mid, &solves, &probe);
+    const int direction = probe.valid ? consistency(probe, mid) : 1;
+    if (probe.valid && direction == 0) {
+      return finalize(probe, total_batch, mid, solves);
     }
     if (direction > 0) {
       lo = mid + 1;
@@ -260,30 +314,15 @@ OptPerfResult OptPerfSolver::solve(double total_batch) const {
       hi = mid - 1;
     }
   }
-  if (best_boundary >= 0) {
-    return finalize(best, total_batch, best_boundary, solves);
+  // Numerical edge (no self-consistent boundary, or every node pinned):
+  // fall back to scanning all n+1 boundaries, O(n) probes.
+  if (auto fallback = scan_boundaries(total_batch, &solves)) {
+    return std::move(*fallback);
   }
-  // Numerical edge (e.g. all nodes pinned): fall back to scanning.
-  OptPerfResult fallback;
-  double best_time = std::numeric_limits<double>::infinity();
-  for (int boundary = 0; boundary <= n; ++boundary) {
-    Candidate candidate = solve_boundary(total_batch, boundary, &solves);
-    if (!candidate.valid) continue;
-    OptPerfResult finalized =
-        finalize(candidate, total_batch, boundary, solves);
-    if (finalized.batch_time < best_time) {
-      best_time = finalized.batch_time;
-      fallback = std::move(finalized);
-    }
-  }
-  if (!std::isfinite(best_time)) {
-    // Total batch exceeds the cluster's capacity: return capped result.
-    Candidate capped = solve_boundary(total_batch, n, &solves);
-    OptPerfResult result = finalize(capped, total_batch, n, solves);
-    result.feasible = false;
-    return result;
-  }
-  return fallback;
+  solve_boundary(total_batch, n, &solves, &probe);
+  OptPerfResult result = finalize(probe, total_batch, n, solves);
+  result.feasible = false;
+  return result;
 }
 
 OptPerfResult OptPerfSolver::solve_with_hint(double total_batch,
@@ -291,7 +330,8 @@ OptPerfResult OptPerfSolver::solve_with_hint(double total_batch,
   const int n = size();
   const int hint = std::clamp(boundary_hint, 0, n);
   int solves = 0;
-  Candidate candidate = solve_boundary(total_batch, hint, &solves);
+  Candidate candidate;
+  solve_boundary(total_batch, hint, &solves, &candidate);
   if (candidate.valid && consistency(candidate, hint) == 0) {
     return finalize(candidate, total_batch, hint, solves);
   }
@@ -303,30 +343,11 @@ OptPerfResult OptPerfSolver::solve_with_hint(double total_batch,
 }
 
 OptPerfResult OptPerfSolver::solve_exhaustive(double total_batch) const {
-  const int n = size();
   int solves = 0;
-  OptPerfResult best;
-  double best_time = std::numeric_limits<double>::infinity();
-  for (int boundary = 0; boundary <= n; ++boundary) {
-    Candidate candidate = solve_boundary(total_batch, boundary, &solves);
-    if (!candidate.valid) continue;
-    OptPerfResult finalized =
-        finalize(candidate, total_batch, boundary, solves);
-    if (finalized.batch_time < best_time) {
-      best_time = finalized.batch_time;
-      best = std::move(finalized);
-    }
+  if (auto best = scan_boundaries(total_batch, &solves)) {
+    return std::move(*best);
   }
-  if (!std::isfinite(best_time)) {
-    best = solve(total_batch);
-  }
-  return best;
-}
-
-double OptPerfSolver::cap_sum() const {
-  double total = 0.0;
-  for (const auto& m : models_) total += m.max_batch;
-  return total;
+  return solve(total_batch);
 }
 
 OptPerfSolver::AccumulatedPlan OptPerfSolver::solve_accumulated(

@@ -13,9 +13,13 @@
 // Each hypothesis "nodes 0..C-1 (in threshold order) are computing-
 // bottleneck" yields one linear equation in the common completion time
 // mu, so the solver runs Check 1, Check 2, and then a binary search over
-// the boundary C exactly as Algorithm 1 prescribes.
+// the boundary C exactly as Algorithm 1 prescribes. Each such boundary
+// probe is an exact bounded solve: nodes that would fall below 0 or rise
+// above their memory cap are fixed there by a variable-fixing loop, and
+// the equation is re-solved over the rest.
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "core/perf_model.h"
@@ -54,8 +58,10 @@ class OptPerfSolver {
   OptPerfResult solve(double total_batch) const;
 
   /// Warm-started variant (Section 4.5 "Overlap state searching"): the
-  /// search begins at `boundary_hint` compute-bottleneck nodes, probing
-  /// outward, so an unchanged overlap state costs O(1) solves.
+  /// boundary `boundary_hint` is probed first and returned if it is
+  /// self-consistent, so an unchanged overlap state costs one probe.
+  /// Otherwise the full solve() runs and the probe is added to its
+  /// solve count.
   OptPerfResult solve_with_hint(double total_batch, int boundary_hint) const;
 
   /// Reference implementation used by tests and the prediction study:
@@ -80,21 +86,46 @@ class OptPerfSolver {
   AccumulatedPlan solve_accumulated(double total_batch,
                                     int max_steps = 8) const;
 
-  /// Sum of per-node memory caps.
-  double cap_sum() const;
+  /// Sum of per-node memory caps. A total batch above it is infeasible:
+  /// solve() then returns every node at its cap with feasible=false.
+  double cap_sum() const { return cap_sum_; }
 
  private:
+  // Completion contribution coeff * b + offset of one node (see .cc).
+  struct Form {
+    double coeff = 0.0;
+    double offset = 0.0;
+  };
+  static Form compute_form(const NodeModel& m);
+  static Form comm_form(const NodeModel& m, const CommTimes& c);
+
+  enum class Pin : unsigned char { kFree, kFloor, kCap };
+
+  // One boundary probe. Callers reuse a Candidate across probes so its
+  // buffers are allocated once per solve, not once per probe.
   struct Candidate {
     double mu = 0.0;
     std::vector<double> batches;  // indexed in sorted order
+    std::vector<Pin> pins;        // indexed in sorted order
     bool valid = false;
   };
 
   // Solves the mixed linear system assuming the first `boundary` nodes
-  // in threshold order are computing-bottleneck. Honors caps/floors by
-  // active-set pinning. Increments *solves for each equation solved.
-  Candidate solve_boundary(double total_batch, int boundary,
-                           int* solves) const;
+  // in threshold order are computing-bottleneck, writing into *out.
+  // Honors floors and caps by variable fixing: each pass pins the
+  // violators of one bound only, so the probe is the exact bounded
+  // equal-completion split whenever total_batch <= cap_sum(). Each pass
+  // is one O(n) equation solve and increments *solves.
+  void solve_boundary(double total_batch, int boundary, int* solves,
+                      Candidate* out) const;
+
+  // Eq. (7) of a candidate, without mapping it back to node order.
+  double batch_time(const Candidate& candidate) const;
+
+  // Probes every boundary 0..n and finalizes the valid one with the
+  // least batch time; nullopt if none is valid.
+  std::optional<OptPerfResult> scan_boundaries(double total_batch,
+                                               int* solves) const;
 
   // Consistency direction: 0 consistent, -1 boundary too high (shrink),
   // +1 boundary too low (grow).
@@ -109,6 +140,11 @@ class OptPerfSolver {
   // from communication- to computing-bottleneck.
   std::vector<int> order_;        // order_[sorted_pos] = original index
   std::vector<double> mu_star_;   // indexed by sorted position
+  // Both forms and the cap of every node, indexed by sorted position.
+  std::vector<Form> compute_forms_;
+  std::vector<Form> comm_forms_;
+  std::vector<double> caps_;
+  double cap_sum_ = 0.0;
 };
 
 /// Bootstrap assignment for the first epochs when no model exists yet,

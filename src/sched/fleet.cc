@@ -8,6 +8,7 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "common/temp_dir.h"
 
 namespace cannikin::sched {
 
@@ -105,16 +106,21 @@ FleetSim::FleetSim(sim::ClusterSpec cluster,
   }
   checkpoint_root_ = options_.checkpoint_root;
   if (checkpoint_root_.empty()) {
-    checkpoint_root_ = (std::filesystem::temp_directory_path() /
-                        ("cannikin-fleet-" + std::to_string(options_.seed)))
-                           .string();
+    checkpoint_root_ = unique_temp_dir("cannikin-fleet");
+    owns_checkpoint_root_ = true;
   }
   // A replay must never restore a previous run's checkpoints.
   std::error_code ec;
   std::filesystem::remove_all(checkpoint_root_, ec);
 }
 
-FleetSim::~FleetSim() = default;
+FleetSim::~FleetSim() { remove_owned_checkpoint_root(); }
+
+void FleetSim::remove_owned_checkpoint_root() {
+  if (!owns_checkpoint_root_) return;
+  std::error_code ec;
+  std::filesystem::remove_all(checkpoint_root_, ec);
+}
 
 FleetSim::JobRecord& FleetSim::record(JobId id) {
   return jobs_.at(static_cast<std::size_t>(id));
@@ -516,6 +522,7 @@ FleetResult FleetSim::run() {
   result.checkpoints_written = checkpoints_written_;
   result.measured_checkpoint_write_seconds = measured_checkpoint_seconds_;
   result.measured_restore_seconds = measured_restore_seconds_;
+  remove_owned_checkpoint_root();
   return result;
 }
 

@@ -59,8 +59,10 @@ struct FleetOptions {
   /// Checkpoint a running job every N committed epochs; 0 keeps only
   /// the epoch-0 checkpoint each start/resume writes.
   int checkpoint_every_epochs = 0;
-  /// Root directory for per-job checkpoint stores; empty uses a
-  /// per-seed directory under the system temp dir, wiped up front.
+  /// Root directory for per-job checkpoint stores, wiped up front; empty
+  /// uses a directory under the system temp dir that is unique to this
+  /// FleetSim and removed when run() returns or the FleetSim is
+  /// destroyed.
   std::string checkpoint_root;
   /// Modeled cost of one preemption (checkpoint rollback + restore) in
   /// virtual seconds: charged to a resumed job's next epoch and handed
@@ -156,6 +158,7 @@ class FleetSim {
 
   const Allocation& allocation() const { return allocation_; }
   double now() const { return now_; }
+  const std::string& checkpoint_root() const { return checkpoint_root_; }
 
  private:
   enum class JobState { kPending, kQueued, kRunning, kPreempted, kDone };
@@ -202,11 +205,13 @@ class FleetSim {
   void commit_epoch(JobId id);
   int unfinished_jobs() const;
   JobRecord& record(JobId id);
+  void remove_owned_checkpoint_root();
 
   sim::ClusterSpec cluster_;
   std::unique_ptr<SchedulingPolicy> policy_;
   FleetOptions options_;
   std::string checkpoint_root_;
+  bool owns_checkpoint_root_ = false;
 
   std::vector<JobRecord> jobs_;
   Allocation allocation_;

@@ -19,6 +19,7 @@
 #include "dnn/parallel_trainer.h"
 #include "obs/metrics.h"
 #include "sim/network.h"
+#include "test_tmpdir.h"
 
 namespace cannikin {
 namespace {
@@ -292,6 +293,14 @@ TEST(ChaosHarness, FaultFreeRunCommitsEveryRound) {
   EXPECT_EQ(result.typed_errors, 0u);
   EXPECT_FALSE(result.gave_up);
   EXPECT_GT(result.events, 0u);
+}
+
+TEST(ChaosHarness, DefaultCheckpointDirIsRemovedAfterTheRun) {
+  ChaosConfig config = small_config(3);
+  config.num_faults = 0;
+  const ChaosResult result = chaos::run_chaos_seed(config);
+  EXPECT_TRUE(result.ok);
+  EXPECT_EQ(testing_util::temp_dirs_of_this_process("cannikin-chaos"), 0);
 }
 
 TEST(ChaosHarness, ScheduleGenerationIsDeterministic) {

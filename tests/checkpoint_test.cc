@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -25,29 +24,12 @@
 #include "sim/cluster.h"
 #include "sim/cluster_factory.h"
 #include "workloads/registry.h"
+#include "test_tmpdir.h"
 
 namespace {
 
 using namespace cannikin;
-namespace fs = std::filesystem;
-
-class TempDir {
- public:
-  explicit TempDir(const std::string& stem) {
-    path_ = fs::temp_directory_path() /
-            (stem + "-" + std::to_string(::getpid()));
-    fs::remove_all(path_);
-    fs::create_directories(path_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  std::string str() const { return path_.string(); }
-
- private:
-  fs::path path_;
-};
+using testing_util::TestTmpDir;
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -319,7 +301,7 @@ TEST(SchedCheckpoint, RoundTripsAllFields) {
 // ------------------------------------------------- CheckpointStore
 
 TEST(CheckpointStore, SaveLoadLatestAndRetention) {
-  TempDir dir("cannikin-store-test");
+  TestTmpDir dir;
   sched::CheckpointStore store(dir.str(), /*keep_last=*/2);
 
   sched::Checkpoint ckpt = sample_checkpoint();
@@ -335,7 +317,7 @@ TEST(CheckpointStore, SaveLoadLatestAndRetention) {
 }
 
 TEST(CheckpointStore, SequenceOrderWinsOverEpochAfterRollback) {
-  TempDir dir("cannikin-store-rollback");
+  TestTmpDir dir;
   sched::CheckpointStore store(dir.str(), /*keep_last=*/3);
   sched::Checkpoint ckpt = sample_checkpoint();
   ckpt.epochs = 10;
@@ -350,7 +332,7 @@ TEST(CheckpointStore, SequenceOrderWinsOverEpochAfterRollback) {
 }
 
 TEST(CheckpointStore, StaleTmpFileIsIgnored) {
-  TempDir dir("cannikin-store-tmp");
+  TestTmpDir dir;
   sched::CheckpointStore store(dir.str(), /*keep_last=*/3);
   sched::Checkpoint ckpt = sample_checkpoint();
   store.save(ckpt);
@@ -364,7 +346,7 @@ TEST(CheckpointStore, StaleTmpFileIsIgnored) {
 }
 
 TEST(CheckpointStore, TruncatedNewestFallsBackToOlderGoodCheckpoint) {
-  TempDir dir("cannikin-store-corrupt");
+  TestTmpDir dir;
   sched::CheckpointStore store(dir.str(), /*keep_last=*/3);
   sched::Checkpoint ckpt = sample_checkpoint();
   ckpt.epochs = 3;
@@ -386,7 +368,7 @@ TEST(CheckpointStore, TruncatedNewestFallsBackToOlderGoodCheckpoint) {
 }
 
 TEST(CheckpointStore, NoUsableCheckpointReturnsNullopt) {
-  TempDir dir("cannikin-store-empty");
+  TestTmpDir dir;
   sched::CheckpointStore store(dir.str(), /*keep_last=*/3);
   EXPECT_FALSE(store.load_latest().has_value());
   write_file(dir.str() + "/ckpt-00000001-e000001.bin", "not a checkpoint");

@@ -33,8 +33,8 @@ std::vector<double> caps_of(const sim::ClusterJob& job) {
 }
 
 void feed_epoch(CannikinController& controller, sim::ClusterJob& job,
-                const std::vector<int>& batches) {
-  const auto obs = job.run_epoch(batches, 4);
+                const std::vector<int>& batches, int accumulation_steps = 1) {
+  const auto obs = job.run_epoch(batches, 4, accumulation_steps);
   std::vector<int> b;
   std::vector<double> a, p, g, to, tu;
   for (const auto& node : obs.nodes) {
@@ -144,6 +144,42 @@ TEST(Controller, PlansAlwaysSumToTotalBatch) {
     EXPECT_EQ(total, plan.total_batch) << "epoch " << epoch;
     feed_epoch(controller, job, plan.local_batches);
   }
+}
+
+TEST(Controller, NoisyThousandRankPlansStayFeasibleAndCheap) {
+  // As bench/disc_scaling plans: a 1,000-rank two-speed cluster whose
+  // models are learned from 4 noisy batches per epoch. Such models push
+  // OptPerf probes below 0 and above caps at once; every candidate must
+  // still be planned by Algorithm 1's few closed-form solves rather than
+  // an O(n) scan of all boundaries.
+  constexpr int kRanks = 1000;
+  const auto& workload = workloads::by_name("cifar10");
+  sim::ClusterJob job(sim::two_speed_cluster(kRanks, 2.0), workload.profile,
+                      sim::NoiseConfig{}, 17);
+  ControllerOptions options;
+  options.initial_total_batch = workload.b0;
+  options.max_total_batch = workload.max_total_batch;
+  const auto caps = caps_of(job);
+  CannikinController controller(kRanks, caps, options);
+  int model_plans = 0;
+  for (int epoch = 0; epoch < 6; ++epoch) {
+    const auto plan = controller.plan_epoch();
+    if (plan.from_model) {
+      ++model_plans;
+      SCOPED_TRACE("epoch " + std::to_string(epoch));
+      int sum = 0;
+      for (std::size_t i = 0; i < plan.local_batches.size(); ++i) {
+        EXPECT_GE(plan.local_batches[i], 0);
+        EXPECT_LE(plan.local_batches[i], caps[i]);
+        sum += plan.local_batches[i];
+      }
+      EXPECT_EQ(sum * plan.accumulation_steps, plan.total_batch);
+      EXPECT_LT(plan.linear_solves, kRanks);
+    }
+    controller.update_gns_value(static_cast<double>(plan.total_batch));
+    feed_epoch(controller, job, plan.local_batches, plan.accumulation_steps);
+  }
+  EXPECT_EQ(model_plans, 4);
 }
 
 TEST(Controller, LearnedModelsApproachTruth) {

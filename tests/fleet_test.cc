@@ -20,6 +20,7 @@
 #include "sched/supervisor.h"
 #include "sim/cluster_factory.h"
 #include "workloads/registry.h"
+#include "test_tmpdir.h"
 
 namespace cannikin::sched {
 namespace {
@@ -292,23 +293,40 @@ TEST(FleetFifo, QueuesBehindTheHeadAndNeverPreempts) {
   EXPECT_GT(result.mean_queueing_delay, 0.0);
 }
 
+TEST(FleetCheckpointRoot, DefaultRootIsPrivateAndRemovedAfterRun) {
+  // Same-seed fleets in one process must not share (and wipe) one
+  // directory, and a default root must not outlive its run.
+  FleetOptions options;
+  options.seed = 5;
+  options.max_epochs_per_job = 400;
+  options.checkpoint_every_epochs = 2;
+  JobSpec spec;
+  spec.workload = &workloads::by_name("cifar10");
+  spec.target_fraction = 0.05;
+  spec.preferred_nodes = 4;
+
+  FleetSim first(sim::cluster_a(), std::make_unique<FifoPolicy>(4), options);
+  FleetSim second(sim::cluster_a(), std::make_unique<FifoPolicy>(4), options);
+  EXPECT_NE(first.checkpoint_root(), second.checkpoint_root());
+  first.submit(spec, 0.0);
+  second.submit(spec, 0.0);
+
+  const FleetResult a = first.run();
+  EXPECT_FALSE(fs::exists(first.checkpoint_root()));
+  const FleetResult b = second.run();
+  EXPECT_FALSE(fs::exists(second.checkpoint_root()));
+  EXPECT_GT(a.checkpoints_written, 0);
+  EXPECT_EQ(a.checkpoints_written, b.checkpoints_written);
+  EXPECT_DOUBLE_EQ(a.mean_jct, b.mean_jct);
+  EXPECT_EQ(testing_util::temp_dirs_of_this_process("cannikin-fleet"), 0);
+}
+
 // ----------------------------------------------- checkpoint-safe preempt
 
 class FleetPreemption : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = (fs::temp_directory_path() /
-            ("cannikin-fleet-test-" +
-             std::to_string(
-                 ::testing::UnitTest::GetInstance()->random_seed())))
-               .string();
-    fs::remove_all(dir_);
-  }
-  void TearDown() override {
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
-  }
-  std::string dir_;
+  testing_util::TestTmpDir tmp_;
+  const std::string dir_ = tmp_.str();
 };
 
 TEST_F(FleetPreemption, SupervisorResumeIsWarmAndCountsAsPreemption) {

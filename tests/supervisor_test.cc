@@ -8,9 +8,6 @@
 // recovery_metrics window clamp.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -23,31 +20,14 @@
 #include "sim/cluster_factory.h"
 #include "sim/faults.h"
 #include "workloads/registry.h"
+#include "test_tmpdir.h"
 
 namespace {
 
 using namespace cannikin;
-namespace fs = std::filesystem;
+using testing_util::TestTmpDir;
 
 constexpr int kMaxEpochs = 400;
-
-class TempDir {
- public:
-  explicit TempDir(const std::string& stem) {
-    path_ = fs::temp_directory_path() /
-            (stem + "-" + std::to_string(::getpid()));
-    fs::remove_all(path_);
-    fs::create_directories(path_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  std::string str() const { return path_.string(); }
-
- private:
-  fs::path path_;
-};
 
 sched::TrainingSupervisor make_supervisor(const std::string& dir,
                                           sched::SupervisorOptions options =
@@ -74,7 +54,7 @@ TEST(Supervisor, CrashRestoreAndWarmRejoinEndToEnd) {
                                             kMaxEpochs);
   ASSERT_TRUE(clean.reached_target);
 
-  TempDir dir("cannikin-supervisor-e2e");
+  TestTmpDir dir;
   sched::TrainingSupervisor supervisor = make_supervisor(dir.str());
   supervisor.start({0, 4, 8, 9});
 
@@ -115,7 +95,7 @@ TEST(Supervisor, CrashRestoreAndWarmRejoinEndToEnd) {
 }
 
 TEST(Supervisor, RetriesWithBackoffThenSucceeds) {
-  TempDir dir("cannikin-supervisor-retry");
+  TestTmpDir dir;
   sched::SupervisorOptions options;
   options.max_restore_attempts = 3;
   options.backoff_initial_seconds = 0.5;
@@ -140,7 +120,7 @@ TEST(Supervisor, RetriesWithBackoffThenSucceeds) {
 }
 
 TEST(Supervisor, GivesUpCleanlyAfterRetryBudget) {
-  TempDir dir("cannikin-supervisor-giveup");
+  TestTmpDir dir;
   sched::SupervisorOptions options;
   options.max_restore_attempts = 3;
   options.backoff_initial_seconds = 0.5;
@@ -170,7 +150,7 @@ TEST(Supervisor, GivesUpCleanlyAfterRetryBudget) {
 }
 
 TEST(Supervisor, DiscardEpochPolicyRecoversInProcess) {
-  TempDir dir("cannikin-supervisor-discard");
+  TestTmpDir dir;
   sched::SupervisorOptions options;
   options.crash_policy = sched::CrashPolicy::kDiscardEpoch;
   sched::TrainingSupervisor supervisor = make_supervisor(dir.str(), options);
@@ -190,7 +170,7 @@ TEST(Supervisor, DiscardEpochPolicyRecoversInProcess) {
 }
 
 TEST(Supervisor, RetentionBoundsCheckpointFiles) {
-  TempDir dir("cannikin-supervisor-retention");
+  TestTmpDir dir;
   sched::SupervisorOptions options;
   options.keep_last = 2;
   options.checkpoint_every_epochs = 1;
@@ -207,7 +187,7 @@ TEST(Supervisor, RetentionBoundsCheckpointFiles) {
 // CRC-skip the damaged file, fall back to the previous good one, and
 // report the skip through sched.checkpoint.skipped_corrupt.
 TEST(Supervisor, CorruptCheckpointIsSkippedAtRestore) {
-  TempDir dir("cannikin-supervisor-corrupt");
+  TestTmpDir dir;
   obs::MetricsRegistry metrics;
   sched::SupervisorOptions options;
   options.obs = obs::Scope(nullptr, &metrics);
@@ -229,7 +209,7 @@ TEST(Supervisor, CorruptCheckpointIsSkippedAtRestore) {
 }
 
 TEST(Supervisor, StartGuards) {
-  TempDir dir("cannikin-supervisor-guards");
+  TestTmpDir dir;
   sched::TrainingSupervisor supervisor = make_supervisor(dir.str());
   EXPECT_THROW(supervisor.run(sim::FaultInjector{}, 10), std::logic_error);
   EXPECT_THROW(supervisor.job(), std::logic_error);
