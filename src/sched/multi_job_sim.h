@@ -15,7 +15,6 @@
 
 #include "sched/elastic_job.h"
 #include "sched/fleet.h"
-#include "sched/scheduler.h"
 
 namespace cannikin::sched {
 

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "sched/allocation.h"
-#include "sched/scheduler.h"
 #include "sim/cluster.h"
 #include "workloads/registry.h"
 
@@ -144,16 +143,36 @@ struct GoodputGreedyOptions {
   bool allow_preemption = true;
 };
 
-/// Pollux-style goodput-greedy packer generalizing GoodputScheduler to
-/// a live fleet: on every event it selects the runnable set by
-/// (priority, arrival), packs it with greedy marginal normalized
-/// goodput over the heterogeneous pool, and preempts a running job
-/// only when the estimated fleet-goodput gain over the configured
-/// horizon exceeds the job's own goodput times the measured
-/// checkpoint/restore cost (otherwise the job is pinned on its current
-/// nodes and the remainder is repacked around it).
+/// One job as the goodput packer sees it.
+struct GoodputJob {
+  const workloads::Workload* workload = nullptr;
+  double gns = 0.0;   ///< current gradient noise scale (drives B choice)
+  int min_nodes = 1;  ///< smallest useful allocation; must be >= 1
+};
+
+/// Pollux-style goodput-greedy packer over a live fleet (Section 6,
+/// "Adapt to schedulers"). Because Cannikin handles heterogeneity
+/// *inside* a job, any GPU mix may go to any job. On every event the
+/// policy selects the runnable set by (priority, arrival) and packs it
+/// with greedy marginal normalized goodput: each job first receives its
+/// min_nodes, fastest nodes first, then every remaining node goes to the
+/// job whose estimated goodput gains the most relative to its seeded
+/// goodput (Pollux's sum-of-speedups objective). A running job is
+/// preempted only when the estimated fleet-goodput gain over the
+/// configured horizon exceeds the job's own goodput times the
+/// checkpoint/restore cost; otherwise it is pinned on its current nodes
+/// and the remainder is repacked around it.
+///
+/// Goodput estimates come from an OptPerf solve on catalog-derived
+/// models (the policy knows GPU and host types, not job-measured
+/// coefficients). Such an estimate depends only on how many nodes of
+/// each *type* the subset holds -- a type is a distinct (gpu,
+/// contention, host_speed), the only inputs of sim::derive_node_truth
+/// -- so each decision prices every (workload, gns, type counts) once,
+/// in a table that lives for that decision only.
 class GoodputGreedyPolicy : public SchedulingPolicy {
  public:
+  /// Throws std::invalid_argument on an empty cluster or bad options.
   explicit GoodputGreedyPolicy(sim::ClusterSpec cluster,
                                GoodputGreedyOptions options = {});
   std::string name() const override { return "goodput"; }
@@ -161,11 +180,43 @@ class GoodputGreedyPolicy : public SchedulingPolicy {
   Allocation on_job_finish(const FleetState& state, JobId finished) override;
   Allocation on_rebalance_tick(const FleetState& state) override;
 
- private:
-  Allocation repack(const FleetState& state) const;
+  /// Estimated goodput (effective samples/s) of `job` on the node-index
+  /// subset; 0 for an empty subset. Throws on a null workload or a bad
+  /// node id.
+  double estimated_goodput(const GoodputJob& job,
+                           const std::vector<int>& node_ids) const;
 
-  GoodputScheduler scheduler_;
+  /// The packing primitive every hook runs on the non-pinned pool:
+  /// packs every node of `node_ids` (deduplicated) onto a job, each job
+  /// receiving at least its min_nodes; other nodes stay free. Job ids in
+  /// the result are indices into `jobs`, and an empty job list yields an
+  /// all-free Allocation. Throws std::invalid_argument when a workload
+  /// is null, a min_nodes is < 1, a node id is bad, or the min_nodes
+  /// demands exceed the pool.
+  Allocation pack(const std::vector<GoodputJob>& jobs,
+                  const std::vector<int>& node_ids) const;
+
+  /// Node type of `node`: nodes share a type exactly when their gpu,
+  /// contention and host_speed are all equal. Types are numbered
+  /// 0..num_node_types()-1 in order of first appearance.
+  int node_type(int node) const {
+    return type_of_.at(static_cast<std::size_t>(node));
+  }
+  int num_node_types() const { return static_cast<int>(type_node_.size()); }
+
+ private:
+  class GoodputTable;
+
+  Allocation repack(const FleetState& state) const;
+  // pack() over jobs[i] = table.job(picks[i]); result ids index `picks`.
+  Allocation pack(GoodputTable& table, const std::vector<std::size_t>& picks,
+                  std::vector<int> pool) const;
+
+  sim::ClusterSpec cluster_;
   GoodputGreedyOptions options_;
+  std::vector<int> type_of_;    ///< node -> type
+  std::vector<int> type_node_;  ///< type -> first node of that type
+  std::vector<double> speed_;   ///< node -> GPU speed x contention
 };
 
 }  // namespace cannikin::sched

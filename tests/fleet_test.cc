@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "goodput_reference.h"
 #include "sched/allocation.h"
 #include "sched/fault_recovery.h"
 #include "sched/fleet.h"
@@ -151,13 +152,13 @@ TEST(Allocation, RandomOpsKeepBothDirectionsConsistent) {
 // ----------------------------------------------------- packer properties
 
 TEST(FleetPacker, MinNodesRespectedAndSubsetConfined) {
-  GoodputScheduler scheduler(sim::cluster_b());
-  const std::vector<SchedulerJobInfo> jobs{
+  GoodputGreedyPolicy policy(sim::cluster_b());
+  const std::vector<GoodputJob> jobs{
       {&workloads::by_name("cifar10"), 500.0, 3},
       {&workloads::by_name("imagenet"), 1000.0, 2},
   };
   const std::vector<int> pool{2, 3, 5, 7, 11, 13};
-  const Allocation allocation = scheduler.allocate_subset(jobs, pool);
+  const Allocation allocation = policy.pack(jobs, pool);
   EXPECT_GE(allocation.size_of(0), 3);
   EXPECT_GE(allocation.size_of(1), 2);
   for (JobId job : allocation.jobs()) {
@@ -169,19 +170,20 @@ TEST(FleetPacker, MinNodesRespectedAndSubsetConfined) {
 }
 
 TEST(FleetPacker, Validation) {
-  GoodputScheduler scheduler(sim::cluster_a());
+  GoodputGreedyPolicy policy(sim::cluster_a());
+  const std::vector<int> all{0, 1, 2};
   EXPECT_THROW(
-      scheduler.allocate({{&workloads::by_name("cifar10"), 100.0, 0}}),
+      policy.pack({{&workloads::by_name("cifar10"), 100.0, 0}}, all),
       std::invalid_argument);
-  EXPECT_THROW(scheduler.allocate({{nullptr, 100.0, 1}}),
+  EXPECT_THROW(policy.pack({{nullptr, 100.0, 1}}, all),
                std::invalid_argument);
   // min_nodes demand exceeding the pool is an error, not a silent drop.
   EXPECT_THROW(
-      scheduler.allocate({{&workloads::by_name("cifar10"), 100.0, 5}}),
+      policy.pack({{&workloads::by_name("cifar10"), 100.0, 5}}, all),
       std::invalid_argument);
-  EXPECT_THROW(scheduler.allocate_subset(
-                   {{&workloads::by_name("cifar10"), 100.0, 1}}, {99}),
-               std::invalid_argument);
+  EXPECT_THROW(
+      policy.pack({{&workloads::by_name("cifar10"), 100.0, 1}}, {99}),
+      std::invalid_argument);
 }
 
 // ------------------------------------------------------------ validation
@@ -245,6 +247,7 @@ TEST(FleetValidation, PolicyConstructorsReject) {
   bad.max_concurrent = -1;
   EXPECT_THROW(GoodputGreedyPolicy(sim::cluster_a(), bad),
                std::invalid_argument);
+  EXPECT_THROW(GoodputGreedyPolicy(sim::ClusterSpec{}), std::invalid_argument);
 }
 
 // --------------------------------------------------------------- arrivals
@@ -477,6 +480,61 @@ FleetResult run_goodput_fleet(const std::vector<JobArrival>& trace,
                  options);
   fleet.submit(trace);
   return fleet.run();
+}
+
+/// Runs the goodput policy and the uncached reference side by side on
+/// every hook, checks they agree, and lets the policy's answer drive.
+class ParityCheckedPolicy : public SchedulingPolicy {
+ public:
+  explicit ParityCheckedPolicy(const sim::ClusterSpec& cluster)
+      : policy_(cluster), reference_(cluster) {}
+  std::string name() const override { return policy_.name(); }
+  Allocation on_job_arrival(const FleetState& state, JobId arrived) override {
+    ++arrivals;
+    return checked(policy_.on_job_arrival(state, arrived),
+                   reference_.on_job_arrival(state, arrived), "arrival");
+  }
+  Allocation on_job_finish(const FleetState& state, JobId finished) override {
+    ++finishes;
+    return checked(policy_.on_job_finish(state, finished),
+                   reference_.on_job_finish(state, finished), "finish");
+  }
+  Allocation on_rebalance_tick(const FleetState& state) override {
+    ++ticks;
+    return checked(policy_.on_rebalance_tick(state),
+                   reference_.on_rebalance_tick(state), "tick");
+  }
+
+  int arrivals = 0, finishes = 0, ticks = 0;
+
+ private:
+  static Allocation checked(Allocation got, const Allocation& expected,
+                            const char* hook) {
+    EXPECT_EQ(got, expected) << hook << ": " << got.to_string() << " vs "
+                             << expected.to_string();
+    return got;
+  }
+  GoodputGreedyPolicy policy_;
+  reference::UncachedGoodputPolicy reference_;
+};
+
+TEST_F(FleetPreemption, GoodputDecisionsMatchUncachedReferenceOnTrace) {
+  FleetOptions options;
+  options.seed = 17;
+  options.max_epochs_per_job = 400;
+  options.checkpoint_every_epochs = 3;
+  options.checkpoint_root = dir_;
+  options.rebalance_interval_seconds = 500.0;
+  auto owned = std::make_unique<ParityCheckedPolicy>(sim::cluster_b());
+  const ParityCheckedPolicy& policy = *owned;
+  FleetSim fleet(sim::cluster_b(), std::move(owned), options);
+  const auto trace = mixed_trace(8, 123);
+  fleet.submit(trace);
+  const FleetResult result = fleet.run();
+  EXPECT_EQ(result.completed_jobs, static_cast<int>(trace.size()));
+  EXPECT_GT(policy.arrivals, 0);
+  EXPECT_GT(policy.finishes, 0);
+  EXPECT_GT(policy.ticks, 0);
 }
 
 TEST_F(FleetPreemption, SameSeedSameTraceGivesIdenticalMetrics) {

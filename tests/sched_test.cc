@@ -6,7 +6,7 @@
 #include "sched/elastic_job.h"
 #include "sched/model_bank.h"
 #include "sched/multi_job_sim.h"
-#include "sched/scheduler.h"
+#include "sched/policy.h"
 #include "sim/cluster_factory.h"
 #include "workloads/registry.h"
 
@@ -113,15 +113,23 @@ TEST(PerfModelPriors, ControllerWarmStartSkipsBootstrap) {
   EXPECT_GT(plan.predicted_batch_time, 0.0);
 }
 
-// -------------------------------------------------------------- Scheduler
+// --------------------------------------------------------- Goodput packer
 
-TEST(GoodputScheduler, EveryNodeAssignedAndMinNodesRespected) {
-  GoodputScheduler scheduler(sim::cluster_b());
-  const std::vector<SchedulerJobInfo> jobs{
+std::vector<int> all_nodes(const sim::ClusterSpec& cluster) {
+  std::vector<int> nodes(static_cast<std::size_t>(cluster.size()));
+  for (int node = 0; node < cluster.size(); ++node) {
+    nodes[static_cast<std::size_t>(node)] = node;
+  }
+  return nodes;
+}
+
+TEST(GoodputGreedyPolicy, EveryNodeAssignedAndMinNodesRespected) {
+  GoodputGreedyPolicy policy(sim::cluster_b());
+  const std::vector<GoodputJob> jobs{
       {&workloads::by_name("cifar10"), 500.0, 2},
       {&workloads::by_name("imagenet"), 1000.0, 2},
   };
-  const Allocation allocation = scheduler.allocate(jobs);
+  const Allocation allocation = policy.pack(jobs, all_nodes(sim::cluster_b()));
   ASSERT_EQ(allocation.num_nodes(), 16);
   for (int node = 0; node < allocation.num_nodes(); ++node) {
     ASSERT_NE(allocation.job_of(node), kNoJob) << "node " << node;
@@ -131,36 +139,36 @@ TEST(GoodputScheduler, EveryNodeAssignedAndMinNodesRespected) {
   EXPECT_EQ(allocation.size_of(0) + allocation.size_of(1), 16);
 }
 
-TEST(GoodputScheduler, EmptyJobListLeavesNodesIdle) {
-  GoodputScheduler scheduler(sim::cluster_a());
-  const Allocation allocation = scheduler.allocate({});
+TEST(GoodputGreedyPolicy, EmptyJobListLeavesNodesIdle) {
+  GoodputGreedyPolicy policy(sim::cluster_a());
+  const Allocation allocation = policy.pack({}, all_nodes(sim::cluster_a()));
   EXPECT_TRUE(allocation.empty());
   EXPECT_EQ(allocation.free_nodes().size(),
             static_cast<std::size_t>(allocation.num_nodes()));
 }
 
-TEST(GoodputScheduler, GoodputGrowsWithNodes) {
-  GoodputScheduler scheduler(sim::cluster_b());
-  const SchedulerJobInfo job{&workloads::by_name("imagenet"), 2000.0, 1};
-  const double one = scheduler.estimated_goodput(job, {0});
-  const double four = scheduler.estimated_goodput(job, {0, 1, 2, 3});
+TEST(GoodputGreedyPolicy, GoodputGrowsWithNodes) {
+  GoodputGreedyPolicy policy(sim::cluster_b());
+  const GoodputJob job{&workloads::by_name("imagenet"), 2000.0, 1};
+  const double one = policy.estimated_goodput(job, {0});
+  const double four = policy.estimated_goodput(job, {0, 1, 2, 3});
   const double eight =
-      scheduler.estimated_goodput(job, {0, 1, 2, 3, 8, 9, 10, 11});
+      policy.estimated_goodput(job, {0, 1, 2, 3, 8, 9, 10, 11});
   EXPECT_GT(one, 0.0);
   EXPECT_GT(four, one);
   EXPECT_GT(eight, four);
-  EXPECT_DOUBLE_EQ(scheduler.estimated_goodput(job, {}), 0.0);
+  EXPECT_DOUBLE_EQ(policy.estimated_goodput(job, {}), 0.0);
 }
 
-TEST(GoodputScheduler, ComputeHungryJobGetsTheFastGpus) {
-  GoodputScheduler scheduler(sim::cluster_b());
+TEST(GoodputGreedyPolicy, ComputeHungryJobGetsTheFastGpus) {
+  GoodputGreedyPolicy policy(sim::cluster_b());
   // ImageNet (compute heavy) vs MovieLens (fixed-cost dominated): the
   // A100s (nodes 0-3) matter far more to ImageNet.
-  const std::vector<SchedulerJobInfo> jobs{
+  const std::vector<GoodputJob> jobs{
       {&workloads::by_name("movielens"), 5000.0, 1},
       {&workloads::by_name("imagenet"), 5000.0, 1},
   };
-  const Allocation allocation = scheduler.allocate(jobs);
+  const Allocation allocation = policy.pack(jobs, all_nodes(sim::cluster_b()));
   int a100_to_imagenet = 0;
   for (int node = 0; node < 4; ++node) {
     if (allocation.job_of(node) == 1) ++a100_to_imagenet;
